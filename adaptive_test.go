@@ -25,17 +25,34 @@ const (
 	// adaptiveTestMis is a 10x join-estimate overestimation: large enough
 	// to invert build-side choices, small enough that the optimizer keeps
 	// the same join order (in-place rewrites cannot recover a changed
-	// join order; see cmd/benchrunner's adaptive smoke).
+	// join order).
 	adaptiveTestMis = 10
 )
 
-// adaptiveTestSQL is the benchrunner smoke's Q5-shaped join aggregate:
-// its misestimated plan broadcasts a build side the rewrites repair.
+// adaptiveTestSQL is a Q5-shaped join aggregate: its misestimated plan
+// broadcasts a build side the rewrites repair.
 const adaptiveTestSQL = `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
 FROM customer, orders, lineitem, supplier, nation
 WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey AND l_suppkey = s_suppkey
   AND c_nationkey = s_nationkey AND s_nationkey = n_nationkey
 GROUP BY n_name ORDER BY revenue DESC`
+
+// adaptiveShapedQueries are Q5/Q9-shaped multiway join aggregates whose
+// 10x misestimation damages exactly the decisions the §17 rewrites can
+// repair mid-query (build sides and exchange routing), not the join
+// order itself. The first is adaptiveTestSQL.
+var adaptiveShapedQueries = []struct{ name, sql string }{
+	{"Q5-shape", adaptiveTestSQL},
+	{"Q5-supplier", `SELECT s_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+FROM lineitem, orders, supplier
+WHERE l_orderkey = o_orderkey AND l_suppkey = s_suppkey AND o_orderdate >= DATE '1994-01-01'
+GROUP BY s_name ORDER BY revenue DESC`},
+	{"Q9-shape", `SELECT n_name, SUM(l_extendedprice * (1 - l_discount) - ps_supplycost * l_quantity) AS profit
+FROM part, supplier, lineitem, partsupp, nation
+WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey AND ps_partkey = l_partkey
+  AND p_partkey = l_partkey AND s_nationkey = n_nationkey
+GROUP BY n_name ORDER BY profit DESC`},
+}
 
 // adaptiveEngine opens an IC+ engine at SF 0.01 on 4 sites with the 10x
 // misestimation applied and adaptivity toggled.
@@ -93,6 +110,52 @@ func TestAdaptiveByteIdentity(t *testing.T) {
 		} else if res.Modeled.String() != modeled {
 			t.Errorf("par=%d: modeled time %v != %v at other parallelism", par, res.Modeled, modeled)
 		}
+	}
+}
+
+// TestAdaptiveRecoversOracleTime is the recovery bound of DESIGN.md §17:
+// on each shaped query, the adaptive run under 10x misestimation stays
+// within 1.15x of the modeled time of an oracle planned from correct
+// statistics, returns the misestimated static plan's bytes, and the
+// misestimated static plan returns the oracle's row count. At least one
+// rewrite must fire across the set.
+func TestAdaptiveRecoversOracleTime(t *testing.T) {
+	oracle := gignite.New(harness.ConfigFor(harness.ICPlus, 4, adaptiveTestSF))
+	if err := tpch.Setup(oracle, adaptiveTestSF); err != nil {
+		t.Fatal(err)
+	}
+	static := adaptiveEngine(t, false, 0, "", 0)
+	ad := adaptiveEngine(t, true, 0, "", 0)
+	switches := 0
+	for _, q := range adaptiveShapedQueries {
+		base, err := oracle.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s oracle: %v", q.name, err)
+		}
+		st, err := static.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s static-mis: %v", q.name, err)
+		}
+		res, err := ad.Query(q.sql)
+		if err != nil {
+			t.Fatalf("%s adaptive-mis: %v", q.name, err)
+		}
+		switches += res.Stats.AdaptiveSwitches
+		ratio := res.Modeled.Seconds() / base.Modeled.Seconds()
+		t.Logf("%s: oracle %v static-mis %v adaptive-mis %v (%.2fx) switches=%d",
+			q.name, base.Modeled, st.Modeled, res.Modeled, ratio, res.Stats.AdaptiveSwitches)
+		if len(st.Rows) != len(base.Rows) {
+			t.Errorf("%s: misestimated static plan returned %d rows, oracle %d", q.name, len(st.Rows), len(base.Rows))
+		}
+		if rowsChecksum(res.Rows) != rowsChecksum(st.Rows) {
+			t.Errorf("%s: adaptive rows differ from the static plan", q.name)
+		}
+		if ratio > 1.15 {
+			t.Errorf("%s: adaptive modeled time is %.2fx the oracle's (limit 1.15x)", q.name, ratio)
+		}
+	}
+	if switches == 0 {
+		t.Error("no adaptive rewrite fired across the shaped queries")
 	}
 }
 

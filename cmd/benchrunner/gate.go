@@ -4,123 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
-	"time"
 
 	"gignite/internal/harness"
 	"gignite/internal/tpch"
 )
-
-// planCacheHits is the hot-run count of the plancache smoke: enough to
-// amortize a stray scheduler hiccup out of the mean without slowing CI.
-const planCacheHits = 20
-
-// runPlanCache is the plan-cache smoke check (DESIGN.md §15). For each
-// query it runs a cache-off engine for reference rows, one cold run and
-// planCacheHits hot runs on a cache-enabled engine, and requires:
-//
-//   - every hot run reports PlanningSkipped,
-//   - the mean hot plan-acquisition time is ≤ 10% of the cold planning
-//     time (the cache must eliminate ≥ 90% of planning work), and
-//   - rows are byte-identical across cache-off, cold and every hot run.
-func runPlanCache(opts harness.Options, queryList, metricsOut string) {
-	sk := &smoke{name: "plancache"}
-	ids := []int{1, 3, 10}
-	if queryList != "" {
-		ids = nil
-		for _, s := range strings.Split(queryList, ",") {
-			id, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fatalf("bad -queries value %q: %v", s, err)
-			}
-			ids = append(ids, id)
-		}
-	}
-	sf := opts.SFs[0]
-	sites := opts.Sites[0]
-	env := opts.Env
-	env.PlanCache = 0
-	off, err := env.Engine(harness.TPCH, harness.ICPlus, sites, sf)
-	if err != nil {
-		fatalf("plancache: %v", err)
-	}
-	env.PlanCache = 64
-	on, err := env.Engine(harness.TPCH, harness.ICPlus, sites, sf)
-	if err != nil {
-		fatalf("plancache: %v", err)
-	}
-
-	fmt.Printf("plan cache smoke: IC+ sf=%g sites=%d, %d hot runs per query\n", sf, sites, planCacheHits)
-	fmt.Printf("%-5s %8s %14s %14s %9s\n", "query", "rows", "cold_plan", "mean_hot_plan", "speedup")
-	type gateQuery struct {
-		ColdPlanNanos   int64   `json:"cold_plan_nanos"`
-		MeanHotNanos    int64   `json:"mean_hot_plan_nanos"`
-		Speedup         float64 `json:"speedup"`
-		Rows            int     `json:"rows"`
-		PlanningSkipped bool    `json:"planning_skipped"`
-	}
-	artifact := map[string]gateQuery{}
-	for _, id := range ids {
-		q := tpch.QueryByID(id)
-		if q == nil {
-			fatalf("plancache: unknown TPC-H query %d", id)
-		}
-		base, err := off.Query(q.SQL)
-		if err != nil {
-			fatalf("plancache: Q%d (cache off): %v", id, err)
-		}
-		want := rowsText(base.Rows)
-		cold, err := on.Query(q.SQL)
-		if err != nil {
-			fatalf("plancache: Q%d (cold): %v", id, err)
-		}
-		if cold.Stats.PlanningSkipped {
-			sk.failf("Q%d: cold run claims planning was skipped (cache warmed unexpectedly)", id)
-		}
-		if rowsText(cold.Rows) != want {
-			sk.failf("Q%d: cold rows differ from the cache-off run", id)
-		}
-		var hotTotal int64
-		allSkipped := true
-		for i := 0; i < planCacheHits; i++ {
-			hot, err := on.Query(q.SQL)
-			if err != nil {
-				fatalf("plancache: Q%d (hot %d): %v", id, i, err)
-			}
-			hotTotal += hot.Stats.PlanNanos
-			if !hot.Stats.PlanningSkipped {
-				allSkipped = false
-			}
-			if rowsText(hot.Rows) != want {
-				sk.failf("Q%d: hot run %d rows differ from the cache-off run", id, i)
-			}
-		}
-		meanHot := hotTotal / planCacheHits
-		if !allSkipped {
-			sk.failf("Q%d: not every hot run skipped planning", id)
-		}
-		if meanHot*10 > cold.Stats.PlanNanos {
-			sk.failf("Q%d: hot planning %v is over 10%% of cold %v; the cache is not skipping enough work",
-				id, time.Duration(meanHot), time.Duration(cold.Stats.PlanNanos))
-		}
-		speedup := float64(cold.Stats.PlanNanos) / float64(max64(meanHot, 1))
-		fmt.Printf("Q%-4d %8d %14v %14v %8.0fx\n",
-			id, len(base.Rows), time.Duration(cold.Stats.PlanNanos), time.Duration(meanHot), speedup)
-		artifact[fmt.Sprintf("Q%d", id)] = gateQuery{
-			ColdPlanNanos: cold.Stats.PlanNanos, MeanHotNanos: meanHot,
-			Speedup: speedup, Rows: len(base.Rows), PlanningSkipped: allSkipped,
-		}
-	}
-	if s, enabled := on.PlanCacheStats(); enabled {
-		fmt.Printf("cache: %d/%d plans, %d hits, %d misses, %d evictions\n",
-			s.Size, s.Capacity, s.Hits, s.Misses, s.Evictions)
-	}
-	if metricsOut != "" {
-		writeJSON(metricsOut, artifact)
-	}
-	sk.exit()
-}
 
 // gateBaseline is the committed BENCH_gate.json document the regression
 // gate compares against. The measured signals — modeled time and shipped
@@ -154,7 +42,11 @@ const gateSchema = "gignite.benchgate/v1"
 // beyond the tolerance are reported (refresh the baseline with
 // -update-baseline) but do not fail the gate.
 func runBenchGate(opts harness.Options, baselinePath, metricsOut string, update bool) {
-	sk := &smoke{name: "benchgate"}
+	failed := false
+	failf := func(format string, args ...interface{}) {
+		fmt.Fprintf(os.Stderr, "benchrunner: benchgate: "+format+"\n", args...)
+		failed = true
+	}
 	base := &gateBaseline{}
 	data, err := os.ReadFile(baselinePath)
 	switch {
@@ -210,7 +102,7 @@ func runBenchGate(opts harness.Options, baselinePath, metricsOut string, update 
 		want, ok := base.Queries[label]
 		if !ok {
 			if !update {
-				sk.failf("%s missing from baseline %s", label, baselinePath)
+				failf("%s missing from baseline %s", label, baselinePath)
 			}
 			fmt.Printf("%-5s %14s %14.2f %8s %14s %14.0f %8s\n", label, "-", got.ModeledMs, "-", "-", got.BytesShipped, "-")
 			continue
@@ -223,11 +115,11 @@ func runBenchGate(opts harness.Options, baselinePath, metricsOut string, update 
 			continue
 		}
 		if dm > base.TolerancePct {
-			sk.failf("%s modeled time regressed %.1f%% (%.2fms -> %.2fms, tolerance %g%%)",
+			failf("%s modeled time regressed %.1f%% (%.2fms -> %.2fms, tolerance %g%%)",
 				label, dm, want.ModeledMs, got.ModeledMs, base.TolerancePct)
 		}
 		if db > base.TolerancePct {
-			sk.failf("%s shipped bytes regressed %.1f%% (%.0f -> %.0f, tolerance %g%%)",
+			failf("%s shipped bytes regressed %.1f%% (%.0f -> %.0f, tolerance %g%%)",
 				label, db, want.BytesShipped, got.BytesShipped, base.TolerancePct)
 		}
 		if dm < -base.TolerancePct || db < -base.TolerancePct {
@@ -258,7 +150,9 @@ func runBenchGate(opts harness.Options, baselinePath, metricsOut string, update 
 			"tolerance_pct": base.TolerancePct,
 		})
 	}
-	sk.exit()
+	if failed {
+		os.Exit(1)
+	}
 }
 
 // pctDelta returns (got-want)/want as a percentage; positive = regression.
@@ -287,11 +181,4 @@ func writeJSON(path string, v interface{}) {
 		fatalf("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "benchrunner: wrote %s\n", path)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

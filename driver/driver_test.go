@@ -4,6 +4,8 @@ import (
 	"context"
 	"database/sql"
 	"errors"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -118,9 +120,15 @@ func TestPreparedPlaceholders(t *testing.T) {
 			t.Fatalf("k=%d: got %q, want %q", k, got, v)
 		}
 	}
-	// 3 executions of one prepared statement: at least 2 skipped planning.
-	if skipped := eng.Metrics().Counters["queries_planning_skipped_total"]; skipped < 2 {
+	// 3 executions of one prepared statement: at least 2 skipped planning,
+	// in the snapshot and in the Prometheus text a /metrics endpoint
+	// serves.
+	snap := eng.Metrics()
+	if skipped := snap.Counters["queries_planning_skipped_total"]; skipped < 2 {
 		t.Fatalf("queries_planning_skipped_total = %g, want >= 2", skipped)
+	}
+	if skipped := promSample(snap.Prometheus(), "queries_planning_skipped_total"); skipped < 2 {
+		t.Fatalf("Prometheus queries_planning_skipped_total = %g, want >= 2", skipped)
 	}
 
 	// database/sql's auto-prepare path for db.Query with args.
@@ -231,4 +239,17 @@ func mustExec(t *testing.T, db *sql.DB, stmts ...string) {
 			t.Fatalf("%s: %v", s, err)
 		}
 	}
+}
+
+// promSample returns the value of one unlabeled sample in Prometheus
+// text exposition, or -1 when the sample is missing.
+func promSample(text, name string) float64 {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			if f, err := strconv.ParseFloat(v, 64); err == nil {
+				return f
+			}
+		}
+	}
+	return -1
 }

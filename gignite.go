@@ -540,8 +540,7 @@ type Result struct {
 	// Obs is the query's full observation record: per-operator runtime
 	// statistics and the distributed trace (one span per fragment-instance
 	// attempt). nil for DDL/DML and plain EXPLAIN. Prefer Report for the
-	// flattened public view; Obs remains for trace export
-	// (obs.ChromeTrace) and span-level inspection.
+	// flattened public view; Obs remains for span-level inspection.
 	Obs *obs.QueryObs
 
 	// adaptiveNotes carries the adaptive controller's per-node rewrite
@@ -684,9 +683,6 @@ func (e *Engine) ExecContext(ctx context.Context, query string) (*Result, error)
 		if err := e.store.Load(tbl.Name, rows); err != nil {
 			return nil, err
 		}
-		if err := e.store.BuildIndexes(tbl.Name); err != nil {
-			return nil, err
-		}
 		return &Result{}, nil
 	case *sql.ExplainStmt:
 		if s.Analyze {
@@ -734,10 +730,7 @@ func (e *Engine) Explain(query string) (string, error) {
 // LoadTable bulk-loads rows and rebuilds the table's indexes. It is the
 // fast path the benchmark generators use.
 func (e *Engine) LoadTable(name string, rows []Row) error {
-	if err := e.store.Load(name, rows); err != nil {
-		return err
-	}
-	return e.store.BuildIndexes(name)
+	return e.store.Load(name, rows)
 }
 
 // Analyze collects table statistics (row counts, per-column NDV and

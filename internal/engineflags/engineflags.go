@@ -53,9 +53,6 @@ type Values struct {
 // The zero value means: system ic+, everything else off.
 type Defaults struct {
 	System    string
-	Filters   bool
-	Admission int
-	Hedge     float64
 	PlanCache int
 }
 
@@ -70,11 +67,11 @@ func Bind(fs *flag.FlagSet, d Defaults) *Values {
 	fs.IntVar(&v.Backups, "backups", 0, "backup replicas per partition (0 = none)")
 	fs.IntVar(&v.Parallelism, "par", 0, "host execution parallelism (0 = GOMAXPROCS, 1 = sequential)")
 	fs.StringVar(&v.Faults, "faults", "", `deterministic fault plan, e.g. "seed=1;crash=2@5;slow=1x4;sendfail=0.01"`)
-	fs.BoolVar(&v.Filters, "filters", d.Filters, "enable runtime join-filter pushdown (DESIGN.md §13)")
-	fs.IntVar(&v.Admission, "admission", d.Admission, "max concurrent queries (0 = unbounded)")
+	fs.BoolVar(&v.Filters, "filters", false, "enable runtime join-filter pushdown (DESIGN.md §13)")
+	fs.IntVar(&v.Admission, "admission", 0, "max concurrent queries (0 = unbounded)")
 	fs.Int64Var(&v.MaxMem, "maxmem", 0, "engine-wide memory budget in bytes (0 = no pool)")
 	fs.Int64Var(&v.QueryMem, "querymem", 0, "per-query memory cap in bytes (0 = unlimited)")
-	fs.Float64Var(&v.Hedge, "hedge", d.Hedge, "hedge stragglers past this multiple of the wave median (0 = off)")
+	fs.Float64Var(&v.Hedge, "hedge", 0, "hedge stragglers past this multiple of the wave median (0 = off)")
 	fs.IntVar(&v.PlanCache, "plancache", d.PlanCache, "plan cache capacity in plans (0 = off)")
 	fs.BoolVar(&v.Adaptive, "adaptive", false, "enable adaptive mid-query re-optimization (DESIGN.md §17)")
 	fs.Float64Var(&v.Misestimate, "misestimate", 0, "multiply the planner's join estimates by this factor (stats fault injection)")

@@ -44,9 +44,6 @@ func testStore(t *testing.T, sites int) *storage.Store {
 	if err := st.Load("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.BuildIndexes("t"); err != nil {
-		t.Fatal(err)
-	}
 	return st
 }
 

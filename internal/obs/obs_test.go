@@ -104,6 +104,33 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
+// TestSnapshotPrometheus pins the text exposition format: a TYPE line
+// per family, bare counter and gauge samples, and cumulative histogram
+// buckets ending in +Inf, followed by _sum and _count.
+func TestSnapshotPrometheus(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("queries_total").Add(3)
+	r.Gauge("queries_inflight").Set(2)
+	h := r.Histogram("latency_seconds", []float64{0.5, 1})
+	for _, v := range []float64{0.25, 0.75, 4} {
+		h.Observe(v)
+	}
+	want := `# TYPE queries_total counter
+queries_total 3
+# TYPE queries_inflight gauge
+queries_inflight 2
+# TYPE latency_seconds histogram
+latency_seconds_bucket{le="0.5"} 1
+latency_seconds_bucket{le="1"} 2
+latency_seconds_bucket{le="+Inf"} 3
+latency_seconds_sum 5
+latency_seconds_count 3
+`
+	if got := r.Snapshot().Prometheus(); got != want {
+		t.Errorf("Prometheus text:\n%s\nwant:\n%s", got, want)
+	}
+}
+
 // TestSnapshotTextDeterministic: two snapshots of the same state render
 // identical sorted text.
 func TestSnapshotTextDeterministic(t *testing.T) {
@@ -147,33 +174,5 @@ func TestTopOperators(t *testing.T) {
 	top := q.TopOperators(2)
 	if len(top) != 2 || top[0].Op != "Scan" || top[1].Op != "Join" {
 		t.Errorf("TopOperators = %+v", top)
-	}
-}
-
-// TestChromeTrace: the export is a valid trace_event document with one
-// "X" event per span plus process metadata.
-func TestChromeTrace(t *testing.T) {
-	q := &QueryObs{
-		QueryID: 7, Label: "Q3",
-		Spans: []Span{
-			{Frag: 1, Site: 2, Host: 2, StartNanos: 100, EndNanos: 400, Status: SpanOK},
-			{Frag: 1, Site: 3, Host: 3, StartNanos: 50, EndNanos: 90, Status: SpanRetried, Error: "crash"},
-		},
-	}
-	data, err := ChromeTrace([]*QueryObs{q})
-	if err != nil {
-		t.Fatalf("ChromeTrace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []map[string]any `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("unmarshal: %v", err)
-	}
-	if len(doc.TraceEvents) != 3 { // 1 metadata + 2 spans
-		t.Fatalf("events = %d, want 3", len(doc.TraceEvents))
-	}
-	if doc.TraceEvents[0]["ph"] != "M" || doc.TraceEvents[1]["ph"] != "X" {
-		t.Errorf("event phases wrong: %+v", doc.TraceEvents)
 	}
 }

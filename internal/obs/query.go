@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
 	"time"
 
@@ -196,8 +195,6 @@ type Edge struct {
 type QueryObs struct {
 	// QueryID is the engine's query sequence number.
 	QueryID uint64 `json:"query_id"`
-	// Label is an optional short name (benchmark query id).
-	Label string `json:"label,omitempty"`
 	// SQL is the query text.
 	SQL string `json:"sql,omitempty"`
 	// PlanDigest is a stable hash of the fragmented physical plan text.
@@ -308,53 +305,4 @@ func (q *QueryObs) TopOperators(k int) []TopOp {
 		all = all[:k]
 	}
 	return all
-}
-
-// chromeEvent is one Chrome trace_event (the about://tracing and Perfetto
-// import format, "X" complete events plus "M" metadata).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds
-	Dur  float64        `json:"dur,omitempty"`
-	Pid  uint64         `json:"pid"`
-	Tid  int            `json:"tid"`
-	Args map[string]any `json:"args,omitempty"`
-}
-
-// ChromeTrace renders one or more query traces as a Chrome trace_event
-// file ({"traceEvents": [...]}): one process per query, one thread per
-// site, one complete event per span. Load it in Perfetto or
-// chrome://tracing.
-func ChromeTrace(queries []*QueryObs) ([]byte, error) {
-	var events []chromeEvent
-	for i, q := range queries {
-		pid := q.QueryID
-		if pid == 0 {
-			pid = uint64(i + 1)
-		}
-		name := q.Label
-		if name == "" {
-			name = fmt.Sprintf("query %d", pid)
-		}
-		events = append(events, chromeEvent{
-			Name: "process_name", Ph: "M", Pid: pid,
-			Args: map[string]any{"name": name},
-		})
-		for _, s := range q.Spans {
-			events = append(events, chromeEvent{
-				Name: fmt.Sprintf("frag%d v%d a%d (%s)", s.Frag, s.Variant, s.Attempt, s.Status),
-				Ph:   "X",
-				Ts:   float64(s.StartNanos) / 1e3,
-				Dur:  float64(s.EndNanos-s.StartNanos) / 1e3,
-				Pid:  pid,
-				Tid:  s.Host,
-				Args: map[string]any{
-					"site": s.Site, "ordinal": s.Ordinal, "wave": s.Wave,
-					"status": string(s.Status), "error": s.Error,
-				},
-			})
-		}
-	}
-	return json.MarshalIndent(map[string]any{"traceEvents": events}, "", " ")
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -56,12 +57,12 @@ func tpchEngine(t *testing.T, mut func(*gignite.Config)) *gignite.Engine {
 }
 
 // renderSQL renders *sql.Rows exactly like types.Row.String renders
-// engine rows, so the two sides can be compared byte for byte.
-func renderSQL(t *testing.T, rows *sql.Rows) string {
-	t.Helper()
+// engine rows, so the two sides can be compared byte for byte. Client
+// goroutines call it, so it returns errors instead of failing the test.
+func renderSQL(rows *sql.Rows) (string, error) {
 	cols, err := rows.Columns()
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
 	var sb strings.Builder
 	vals := make([]interface{}, len(cols))
@@ -70,7 +71,7 @@ func renderSQL(t *testing.T, rows *sql.Rows) string {
 	}
 	for rows.Next() {
 		if err := rows.Scan(vals...); err != nil {
-			t.Fatal(err)
+			return "", err
 		}
 		parts := make([]string, len(vals))
 		for i, v := range vals {
@@ -78,10 +79,7 @@ func renderSQL(t *testing.T, rows *sql.Rows) string {
 		}
 		sb.WriteString("[" + strings.Join(parts, ", ") + "]\n")
 	}
-	if err := rows.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return sb.String()
+	return sb.String(), rows.Err()
 }
 
 func renderValue(v interface{}) string {
@@ -117,13 +115,48 @@ func renderEngine(rows []gignite.Row) string {
 	return sb.String()
 }
 
-// TestE2EMixedClients runs concurrent driver clients over real TCP and
-// checks every result byte-identical against in-process execution.
+// TestE2EMixedClients runs concurrent driver clients over real TCP, with
+// the plan cache off and on, and checks every result byte-identical
+// against in-process execution. After Shutdown no connection is open and
+// the goroutine count is back to where it started.
 func TestE2EMixedClients(t *testing.T) {
-	eng := tpchEngine(t, nil)
-	_, addr := startServer(t, eng, server.Config{})
+	for _, cache := range []int{0, 64} {
+		t.Run(fmt.Sprintf("plancache=%d", cache), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			eng := tpchEngine(t, func(cfg *gignite.Config) { cfg.PlanCacheSize = cache })
+			srv, addr := startServer(t, eng, server.Config{})
+			mixedClients(t, eng, addr)
 
-	ids := []int{1, 3, 10}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if err := srv.Shutdown(ctx); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			if open := eng.Metrics().Gauges["conns_open"]; open != 0 {
+				t.Errorf("conns_open = %g after Shutdown, want 0", open)
+			}
+			if err := eng.Close(); err != nil {
+				t.Fatalf("engine close: %v", err)
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			// Two goroutines of slack, for runtime housekeeping that
+			// may start meanwhile.
+			for runtime.NumGoroutine() > base+2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Shutdown, %d before: the serving layer leaked",
+						runtime.NumGoroutine(), base)
+				}
+				time.Sleep(20 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// mixedClients runs 8 concurrent driver clients, each running TPC-H
+// Q1/Q3/Q5/Q10 in a rotated order, and compares every result with
+// in-process execution. The pool is closed before it returns.
+func mixedClients(t *testing.T, eng *gignite.Engine, addr string) {
+	ids := []int{1, 3, 5, 10}
 	want := make(map[int]string)
 	for _, id := range ids {
 		res, err := eng.Query(tpch.QueryByID(id).SQL)
@@ -144,16 +177,19 @@ func TestE2EMixedClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 3; j++ {
+			for j := range ids {
 				id := ids[(i+j)%len(ids)]
 				rows, err := db.Query(tpch.QueryByID(id).SQL)
 				if err != nil {
 					errs <- fmt.Errorf("client %d Q%d: %w", i, id, err)
 					return
 				}
-				got := renderSQL(t, rows)
-				if err := rows.Close(); err != nil {
-					errs <- err
+				got, err := renderSQL(rows)
+				if cerr := rows.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					errs <- fmt.Errorf("client %d Q%d: %w", i, id, err)
 					return
 				}
 				if got != want[id] {
@@ -167,6 +203,55 @@ func TestE2EMixedClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// dialRaw opens a wire connection without the driver and completes the
+// handshake.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc wire.Encoder
+	enc.U32(wire.Magic)
+	enc.U8(wire.Version)
+	enc.Str("")
+	if err := wire.WriteFrame(conn, wire.FrameHello, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.FrameHelloOK {
+		t.Fatalf("handshake: type=%#x err=%v", typ, err)
+	}
+	return conn
+}
+
+// sendQuery writes one Query frame.
+func sendQuery(t *testing.T, conn net.Conn, sqlText string) {
+	t.Helper()
+	var enc wire.Encoder
+	enc.Str(sqlText)
+	if err := wire.WriteFrame(conn, wire.FrameQuery, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// readTerminal reads frames up to the query's terminal one and returns
+// it: Done (nil error) or Error (decoded).
+func readTerminal(t *testing.T, conn net.Conn) *wire.ServerError {
+	t.Helper()
+	for {
+		typ, payload, err := wire.ReadFrame(conn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch typ {
+		case wire.FrameDone:
+			return nil
+		case wire.FrameError:
+			return wire.DecodeError(payload)
+		}
 	}
 }
 
@@ -186,25 +271,8 @@ func TestMidStreamKillFreesLease(t *testing.T) {
 	})
 	_, addr := startServer(t, eng, server.Config{})
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var enc wire.Encoder
-	enc.U32(wire.Magic)
-	enc.U8(wire.Version)
-	enc.Str("")
-	if err := wire.WriteFrame(conn, wire.FrameHello, enc.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.FrameHelloOK {
-		t.Fatalf("handshake: type=%#x err=%v", typ, err)
-	}
-	enc.Reset()
-	enc.Str(slowQuerySQL)
-	if err := wire.WriteFrame(conn, wire.FrameQuery, enc.Bytes()); err != nil {
-		t.Fatal(err)
-	}
+	conn := dialRaw(t, addr)
+	sendQuery(t, conn, slowQuerySQL)
 	// Let the query get into execution, then kill the connection hard.
 	time.Sleep(150 * time.Millisecond)
 	if err := conn.Close(); err != nil {
@@ -222,6 +290,50 @@ func TestMidStreamKillFreesLease(t *testing.T) {
 				m.Gauges["queries_inflight"], m.Gauges["mem_reserved_bytes"])
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestStatementAfterTerminalFrame checks the session's one-query-at-a-
+// time rule from both sides: a statement sent as soon as the previous
+// query's Done or Error frame arrives always runs, and a statement sent
+// while a query is still executing is rejected as pipelining.
+func TestStatementAfterTerminalFrame(t *testing.T) {
+	eng := tpchEngine(t, func(cfg *gignite.Config) {
+		cfg.ExecWorkLimit = -1 // let the slow join run, not time out
+		cfg.ExecRowLimit = 1 << 40
+	})
+	_, addr := startServer(t, eng, server.Config{})
+
+	// Statements that finish at once leave the narrowest gap between a
+	// terminal frame and the next statement.
+	conn := dialRaw(t, addr)
+	defer func() { _ = conn.Close() }()
+	sendQuery(t, conn, `CREATE TABLE kv (k INTEGER, v VARCHAR) AFFINITY KEY (k)`)
+	if se := readTerminal(t, conn); se != nil {
+		t.Fatal(se)
+	}
+	for i := 0; i < 100; i++ {
+		sqlText := fmt.Sprintf(`INSERT INTO kv VALUES (%d, 'v')`, i)
+		if i%10 == 9 {
+			sqlText = `INSERT INTO no_such_table VALUES (1)`
+		}
+		sendQuery(t, conn, sqlText)
+		se := readTerminal(t, conn)
+		switch {
+		case i%10 == 9 && (se == nil || se.Code == wire.CodeProtocol):
+			t.Fatalf("statement %d: want a query error, got %v", i, se)
+		case i%10 != 9 && se != nil:
+			t.Fatalf("statement %d sent right after the previous terminal frame: %v", i, se)
+		}
+	}
+
+	piped := dialRaw(t, addr)
+	defer func() { _ = piped.Close() }()
+	sendQuery(t, piped, slowQuerySQL)
+	sendQuery(t, piped, `SELECT n_name FROM nation`)
+	if se := readTerminal(t, piped); se == nil || se.Code != wire.CodeProtocol ||
+		!strings.Contains(se.Message, "pipelining") {
+		t.Fatalf("statement sent while a query runs: want a pipelining error, got %v", se)
 	}
 }
 
@@ -298,8 +410,11 @@ func TestGracefulDrain(t *testing.T) {
 			resCh <- result{err: err}
 			return
 		}
-		text := renderSQL(t, rows)
-		resCh <- result{text: text, err: rows.Close()}
+		text, err := renderSQL(rows)
+		if cerr := rows.Close(); err == nil {
+			err = cerr
+		}
+		resCh <- result{text: text, err: err}
 	}()
 	time.Sleep(10 * time.Millisecond)
 

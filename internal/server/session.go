@@ -25,13 +25,14 @@ type session struct {
 	br   *bufio.Reader
 	log  gignite.LogFunc
 
-	wmu sync.Mutex // serializes frame writes (query stream vs. nothing else while busy)
+	wmu sync.Mutex // serializes frame writes; endQuery holds it across idle + terminal frame
 
-	mu       sync.Mutex
-	busy     bool
-	cancel   context.CancelFunc // in-flight query's cancel; nil when idle
-	draining bool
-	closed   bool
+	mu        sync.Mutex
+	busy      bool
+	finishing bool               // terminal frame of the last query not yet written
+	cancel    context.CancelFunc // in-flight query's cancel; nil when idle
+	draining  bool
+	closed    bool
 
 	queryDone chan struct{} // signaled when the in-flight query goroutine exits
 	stmts     map[uint32]*gignite.Stmt
@@ -118,7 +119,7 @@ func (sess *session) handshake() error {
 	}
 	sess.srv.m.frames.Inc()
 	if typ != wire.FrameHello {
-		sess.sendError(wire.CodeProtocol, "expected Hello frame")
+		sess.refuse(wire.CodeProtocol, "expected Hello frame")
 		return fmt.Errorf("first frame was %#x, not Hello", typ)
 	}
 	d := wire.NewDecoder(payload)
@@ -126,21 +127,30 @@ func (sess *session) handshake() error {
 	version := d.U8()
 	token := d.Str()
 	if d.Err() != nil || magic != wire.Magic {
-		sess.sendError(wire.CodeProtocol, "malformed Hello frame")
+		sess.refuse(wire.CodeProtocol, "malformed Hello frame")
 		return fmt.Errorf("malformed Hello")
 	}
 	if version != wire.Version {
-		sess.sendError(wire.CodeProtocol, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", version, wire.Version))
+		sess.refuse(wire.CodeProtocol, fmt.Sprintf("unsupported protocol version %d (server speaks %d)", version, wire.Version))
 		return fmt.Errorf("client version %d", version)
 	}
 	if want := sess.srv.cfg.AuthToken; want != "" && token != want {
-		sess.sendError(wire.CodeAuth, "invalid auth token")
+		sess.refuse(wire.CodeAuth, "invalid auth token")
 		return fmt.Errorf("auth token mismatch")
 	}
 	var enc wire.Encoder
 	enc.U8(wire.Version)
 	enc.U64(sess.id)
 	return sess.writeFrame(wire.FrameHelloOK, enc.Bytes())
+}
+
+// refuse answers a failed handshake. The session stops counting toward
+// MaxConns before the error frame goes out, so a client that reconnects
+// as soon as it reads the refusal is not turned away by its own dead
+// session.
+func (sess *session) refuse(code uint16, msg string) {
+	sess.srv.dropSession(sess)
+	_ = sess.sendError(code, msg)
 }
 
 // readFrame reads the next client frame. While the session is idle the
@@ -276,35 +286,54 @@ func (sess *session) startQuery(run func(context.Context) (*gignite.Result, erro
 		defer cancel()
 		res, err := run(ctx)
 		if err != nil {
-			_ = sess.sendError(codeFor(err), err.Error())
-		} else if werr := sess.streamResult(res); werr != nil {
+			sess.endQuery(wire.FrameError, wire.EncodeError(codeFor(err), err.Error()))
+			return
+		}
+		if werr := sess.streamRows(res); werr != nil {
 			// The client went away mid-stream; the read loop will see the
 			// same condition and close the session.
 			sess.log("stream aborted: %v", werr)
 			sess.closeConn()
+			sess.endQuery(0, nil)
+			return
 		}
-		sess.endQuery()
+		sess.endQuery(wire.FrameDone, donePayload(res))
 	}()
 	return true
 }
 
-// endQuery returns the session to idle; under drain it closes the
-// connection now that the in-flight query has fully streamed.
-func (sess *session) endQuery() {
+// endQuery returns the session to idle and then writes the query's
+// terminal frame (Done or Error; none when payload is nil). The session
+// is idle before the client can read the terminal frame, so a statement
+// sent right after it is never taken for pipelining, while one read
+// earlier still is. The write lock, held across both steps, keeps the
+// next query's frames behind the terminal frame; finishing keeps drain
+// from closing the connection before that frame is out.
+func (sess *session) endQuery(typ uint8, payload []byte) {
+	sess.wmu.Lock()
 	sess.mu.Lock()
 	sess.busy = false
+	sess.finishing = true
 	sess.cancel = nil
 	sess.queryDone = nil
 	sess.queries++
+	sess.mu.Unlock()
+	if payload != nil {
+		_ = sess.writeFrameLocked(typ, payload)
+	}
+	sess.mu.Lock()
+	sess.finishing = false
 	drainNow := sess.draining
 	sess.mu.Unlock()
+	sess.wmu.Unlock()
 	if drainNow {
 		sess.closeConn()
 	}
 }
 
-// streamResult writes RowHeader, row batches and Done for one result.
-func (sess *session) streamResult(res *gignite.Result) error {
+// streamRows writes the RowHeader and row batches of one result; the
+// terminal Done frame follows in endQuery.
+func (sess *session) streamRows(res *gignite.Result) error {
 	var enc wire.Encoder
 	enc.U16(uint16(len(res.Columns)))
 	for _, c := range res.Columns {
@@ -328,7 +357,13 @@ func (sess *session) streamResult(res *gignite.Result) error {
 			return err
 		}
 	}
-	enc.Reset()
+	return nil
+}
+
+// donePayload encodes the Done frame of one result: row count, modeled
+// time and flags.
+func donePayload(res *gignite.Result) []byte {
+	var enc wire.Encoder
 	enc.U64(uint64(len(res.Rows)))
 	enc.I64(int64(res.Modeled))
 	var flags uint8
@@ -336,7 +371,7 @@ func (sess *session) streamResult(res *gignite.Result) error {
 		flags |= wire.FlagPlanningSkipped
 	}
 	enc.U8(flags)
-	return sess.writeFrame(wire.FrameDone, enc.Bytes())
+	return enc.Bytes()
 }
 
 // cancelInflight cancels the in-flight query, if any.
@@ -355,7 +390,7 @@ func (sess *session) cancelInflight() {
 func (sess *session) drain() {
 	sess.mu.Lock()
 	sess.draining = true
-	busy := sess.busy
+	busy := sess.busy || sess.finishing
 	sess.mu.Unlock()
 	if !busy {
 		sess.closeConn()
@@ -403,6 +438,11 @@ func (sess *session) cleanup() {
 func (sess *session) writeFrame(typ uint8, payload []byte) error {
 	sess.wmu.Lock()
 	defer sess.wmu.Unlock()
+	return sess.writeFrameLocked(typ, payload)
+}
+
+// writeFrameLocked is writeFrame for a caller that holds the write lock.
+func (sess *session) writeFrameLocked(typ uint8, payload []byte) error {
 	if d := sess.srv.cfg.WriteTimeout; d > 0 {
 		_ = sess.conn.SetWriteDeadline(time.Now().Add(d))
 	}

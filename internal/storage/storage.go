@@ -147,8 +147,10 @@ func (s *Store) Table(name string) (*TableData, error) {
 }
 
 // Load bulk-inserts rows into a table, distributing partitioned tables by
-// affinity-key hash and copying replicated tables to all sites. Indexes
-// must be built afterwards with BuildIndexes; Load invalidates them.
+// affinity-key hash and copying replicated tables to all sites, and
+// rebuilds the table's declared indexes under the same write lock, so a
+// concurrent IndexScan sees either the old rows and indexes or the new
+// ones, never a table without its indexes.
 func (s *Store) Load(name string, rows []types.Row) error {
 	td, err := s.ensureTable(name)
 	if err != nil {
@@ -174,13 +176,12 @@ func (s *Store) Load(name string, rows []types.Row) error {
 			td.partitions[p] = append(td.partitions[p], r)
 		}
 	}
-	// Any previously built indexes are stale now.
-	td.indexes = make(map[string][][]int)
-	td.keyCols = make(map[string][]int)
+	s.buildIndexesLocked(td)
 	return nil
 }
 
-// BuildIndexes (re)builds all catalog-declared indexes for a table.
+// BuildIndexes (re)builds all catalog-declared indexes for a table; call
+// it after declaring a new index. Load keeps existing indexes current.
 func (s *Store) BuildIndexes(name string) error {
 	td, err := s.Table(name)
 	if err != nil {
@@ -188,6 +189,13 @@ func (s *Store) BuildIndexes(name string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.buildIndexesLocked(td)
+	return nil
+}
+
+// buildIndexesLocked rebuilds every declared index of td (caller holds
+// s.mu for writing).
+func (s *Store) buildIndexesLocked(td *TableData) {
 	for _, idx := range td.Def.Indexes {
 		cols := make([]int, len(idx.Columns))
 		for i, cn := range idx.Columns {
@@ -213,7 +221,6 @@ func (s *Store) BuildIndexes(name string) error {
 		td.indexes[lname] = perSite
 		td.keyCols[lname] = cols
 	}
-	return nil
 }
 
 // partitionLocked returns the rows visible at a site (caller holds s.mu).

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -131,9 +133,6 @@ func TestIndexScanOrderAndRange(t *testing.T) {
 	if err := s.Load("emp", rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BuildIndexes("emp"); err != nil {
-		t.Fatal(err)
-	}
 	for site := 0; site < 2; site++ {
 		got, err := s.IndexScan("emp", "EMP_PK", site, nil, nil)
 		if err != nil {
@@ -178,13 +177,10 @@ func TestIndexScanOrderAndRange(t *testing.T) {
 
 func TestIndexScanErrors(t *testing.T) {
 	s := newTestStore(t, 2)
-	if err := s.Load("emp", empRows(5)); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := s.IndexScan("emp", "emp_pk", 0, nil, nil); err == nil {
-		t.Error("index scan before BuildIndexes succeeded")
+		t.Error("index scan before the first Load succeeded")
 	}
-	if err := s.BuildIndexes("emp"); err != nil {
+	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.IndexScan("emp", "nope", 0, nil, nil); err == nil {
@@ -198,19 +194,91 @@ func TestIndexScanErrors(t *testing.T) {
 	}
 }
 
-func TestLoadInvalidatesIndexes(t *testing.T) {
+// TestLoadRebuildsIndexes checks that a second Load leaves every index
+// covering all rows, in key order.
+func TestLoadRebuildsIndexes(t *testing.T) {
 	s := newTestStore(t, 1)
 	if err := s.Load("emp", empRows(5)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.BuildIndexes("emp"); err != nil {
+	more := empRows(10)[5:]
+	if err := s.Load("emp", more); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Load("emp", empRows(5)); err != nil {
+	got, err := s.IndexScan("emp", "emp_pk", 0, nil, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.IndexScan("emp", "emp_pk", 0, nil, nil); err == nil {
-		t.Error("stale index usable after Load")
+	if len(got) != 10 {
+		t.Fatalf("index covers %d rows after the second Load, want 10", len(got))
+	}
+	for i, r := range got {
+		if r[0].Int() != int64(i) {
+			t.Fatalf("index row %d has id %d", i, r[0].Int())
+		}
+	}
+}
+
+// TestLoadConcurrentIndexScan loads into an indexed table while other
+// goroutines scan its indexes: every scan must find the index built and
+// return its rows in key order. Run it under -race.
+func TestLoadConcurrentIndexScan(t *testing.T) {
+	s := newTestStore(t, 2)
+	const batch, loads = 20, 50
+	all := empRows(batch * loads)
+	if err := s.Load("emp", all[:batch]); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(site int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, idx := range []string{"emp_pk", "emp_dept"} {
+					got, err := s.IndexScan("emp", idx, site, nil, nil)
+					if err != nil {
+						errs <- err
+						return
+					}
+					for i := 1; idx == "emp_pk" && i < len(got); i++ {
+						if got[i-1][0].Int() > got[i][0].Int() {
+							errs <- fmt.Errorf("emp_pk scan out of order at row %d", i)
+							return
+						}
+					}
+				}
+			}
+		}(r % 2)
+	}
+	for i := 1; i < loads; i++ {
+		if err := s.Load("emp", all[i*batch:(i+1)*batch]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	n := 0
+	for site := 0; site < 2; site++ {
+		got, err := s.IndexScan("emp", "emp_pk", site, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += len(got)
+	}
+	if n != batch*loads {
+		t.Errorf("index covers %d rows after all loads, want %d", n, batch*loads)
 	}
 }
 
@@ -348,9 +416,6 @@ func TestPartitionAtReadsFromBackup(t *testing.T) {
 func TestIndexScanAtFromBackup(t *testing.T) {
 	s := newReplicatedTestStore(t, 4, 1)
 	if err := s.Load("emp", empRows(80)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.BuildIndexes("emp"); err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < 4; p++ {

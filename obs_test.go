@@ -232,6 +232,39 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 }
 
+// TestReportEstimateVsActual: under IC+M, Result.Report carries a
+// non-empty estimate-vs-actual operator table for TPC-H Q1 and Q3, with
+// planner estimates, observed rows and a q-error of at least 1 on every
+// row.
+func TestReportEstimateVsActual(t *testing.T) {
+	e := gignite.New(harness.ConfigFor(harness.ICPM, 4, obsSF))
+	if err := tpch.Setup(e, obsSF); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 3} {
+		res, err := e.Query(tpch.QueryByID(id).SQL)
+		if err != nil {
+			t.Fatalf("Q%d: %v", id, err)
+		}
+		ops := res.Report().Operators
+		if len(ops) == 0 {
+			t.Fatalf("Q%d: estimate-vs-actual report is empty", id)
+		}
+		var est float64
+		var act int64
+		for _, op := range ops {
+			est += op.EstRows
+			act += op.ActRows
+			if op.QError < 1 {
+				t.Errorf("Q%d frag%d %s: q-error %g < 1", id, op.Frag, op.Op, op.QError)
+			}
+		}
+		if est == 0 || act == 0 {
+			t.Errorf("Q%d: report carries no estimates (%g) or no actual rows (%d)", id, est, act)
+		}
+	}
+}
+
 // TestEngineMetrics: the cumulative registry tracks queries, failures and
 // in-flight counts across a mixed workload.
 func TestEngineMetrics(t *testing.T) {
